@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-scale lint lint-baseline effects cost errors trace bench bench-compare bench-large profile serve-smoke
+.PHONY: test test-scale lint lint-baseline effects errors trace bench bench-compare bench-large profile serve-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -17,23 +17,17 @@ test-scale:
 
 # The full static tier: per-file rules, whole-program R100-series, the
 # R200-series dataflow/contract rules, the R400-series
-# effect/concurrency rules, the R500-series asymptotic cost rules, and
-# the R600-series exception-flow/resource-safety rules, ratcheted
+# effect/concurrency rules, and the R600-series
+# exception-flow/resource-safety rules, ratcheted
 # against the committed baseline. CI runs exactly this.
 lint:
-	$(PYTHON) -m repro lint src --whole-program --dataflow --effects --cost --errors --baseline lint-baseline.json
+	$(PYTHON) -m repro lint src --whole-program --dataflow --effects --errors --baseline lint-baseline.json
 
 # Run the effect tier and (re)generate the parallel-safety certificate
 # consumed by repro.parallel.parallel_map (docs/static_analysis.md).
 # CI regenerates and uploads this on every push.
 effects:
 	$(PYTHON) -m repro lint src --effects --certificate parallel-safety.json
-
-# The declared-vs-inferred asymptotic cost table (R500 tier,
-# docs/static_analysis.md). --check exits 1 on any mismatch or
-# undeclared solver entry point; CI uploads the --json document.
-cost:
-	$(PYTHON) -m repro cost src --check
 
 # Run the error tier and (re)generate the error-contract certificate
 # consumed by repro.resilience.retrying (docs/static_analysis.md).
@@ -48,7 +42,7 @@ errors:
 # alongside the change, so the diff shows exactly which findings were
 # grandfathered. New findings not in the baseline always fail `make lint`.
 lint-baseline:
-	$(PYTHON) -m repro lint src --whole-program --dataflow --effects --cost --errors --format json > lint-baseline.json
+	$(PYTHON) -m repro lint src --whole-program --dataflow --effects --errors --format json > lint-baseline.json
 
 # Paper-theorem traceability matrix (what R204 checks).
 trace:

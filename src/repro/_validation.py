@@ -8,7 +8,6 @@ with an inscrutable traceback.
 
 from __future__ import annotations
 
-import ast
 import functools
 import inspect
 import math
@@ -30,10 +29,6 @@ __all__ = [
     "contract",
     "effects",
     "EFFECT_KINDS",
-    "cost",
-    "cost_expression_problems",
-    "COST_SYMBOLS",
-    "COST_SCALES",
     "raises",
     "exception_name_problems",
 ]
@@ -390,168 +385,6 @@ def effects(*kinds: str) -> Callable[[_F], _F]:
     return decorate
 
 
-#: Symbol vocabulary of the asymptotic-cost tier (``repro lint --cost``).
-#: ``n`` counts network nodes, ``m`` edges, ``q`` quorums in the system,
-#: ``c`` candidate placements.  See ``docs/static_analysis.md``.
-COST_SYMBOLS = ("n", "m", "q", "c")
-
-#: Accepted ``scale=`` tags on :func:`cost`.  ``"large"`` marks a code
-#: path meant to survive 10^3-10^5 node instances; R502 forbids dense
-#: all-pairs metric materialization behind such a tag.
-COST_SCALES = frozenset({"small", "medium", "large"})
-
-
-def cost_expression_problems(expression: str) -> tuple[str, ...]:
-    """Syntax-check a :func:`cost` bound; returns problem messages.
-
-    The grammar is deliberately tiny: sums of products of ``sym``,
-    ``sym**INT``, positive integer constants, ``log(sym)`` and
-    ``exp(sym)`` (``2**sym`` is accepted as a spelling of the latter)
-    over the :data:`COST_SYMBOLS` vocabulary.  An empty tuple means the
-    expression is well-formed.  The static cost tier
-    (``repro.lint.costmodel``) evaluates only expressions this function
-    accepts, so the two stay in lockstep by construction.
-    """
-    problems: list[str] = []
-    try:
-        tree = ast.parse(expression, mode="eval")
-    except SyntaxError:
-        return (f"cost expression {expression!r} is not valid Python syntax",)
-
-    known = ", ".join(COST_SYMBOLS)
-
-    def visit(node: ast.expr) -> None:
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, (ast.Add, ast.Mult)):
-                visit(node.left)
-                visit(node.right)
-                return
-            if isinstance(node.op, ast.Pow):
-                base, exponent = node.left, node.right
-                if isinstance(base, ast.Name):
-                    if base.id not in COST_SYMBOLS:
-                        problems.append(
-                            f"unknown cost symbol {base.id!r}; known: {known}"
-                        )
-                    if not (
-                        isinstance(exponent, ast.Constant)
-                        and isinstance(exponent.value, int)
-                        and not isinstance(exponent.value, bool)
-                        and exponent.value >= 0
-                    ):
-                        problems.append(
-                            "polynomial exponents must be non-negative "
-                            "integer literals"
-                        )
-                    return
-                if (
-                    isinstance(base, ast.Constant)
-                    and base.value == 2
-                    and isinstance(exponent, ast.Name)
-                ):
-                    if exponent.id not in COST_SYMBOLS:
-                        problems.append(
-                            f"unknown cost symbol {exponent.id!r}; "
-                            f"known: {known}"
-                        )
-                    return
-                problems.append(
-                    "'**' accepts sym**INT or the exponential spelling "
-                    "2**sym only"
-                )
-                return
-            problems.append(
-                "cost expressions combine terms with '+' and '*' only"
-            )
-            return
-        if isinstance(node, ast.Name):
-            if node.id not in COST_SYMBOLS:
-                problems.append(
-                    f"unknown cost symbol {node.id!r}; known: {known}"
-                )
-            return
-        if isinstance(node, ast.Constant):
-            if (
-                not isinstance(node.value, int)
-                or isinstance(node.value, bool)
-                or node.value < 1
-            ):
-                problems.append(
-                    "constant factors must be positive integer literals"
-                )
-            return
-        if isinstance(node, ast.Call):
-            name = node.func.id if isinstance(node.func, ast.Name) else None
-            if name not in ("log", "exp"):
-                problems.append(
-                    "only log(sym) and exp(sym) calls are allowed"
-                )
-                return
-            if (
-                len(node.args) != 1
-                or node.keywords
-                or not isinstance(node.args[0], ast.Name)
-            ):
-                problems.append(f"{name}() takes exactly one cost symbol")
-                return
-            argument = node.args[0]
-            assert isinstance(argument, ast.Name)
-            if argument.id not in COST_SYMBOLS:
-                problems.append(
-                    f"unknown cost symbol {argument.id!r}; known: {known}"
-                )
-            return
-        problems.append(
-            f"unsupported construct {type(node).__name__!r} in cost "
-            "expression"
-        )
-
-    visit(tree.body)
-    return tuple(problems)
-
-
-def cost(expression: str, *, scale: str | None = None) -> Callable[[_F], _F]:
-    """Declare a function's asymptotic cost for the cost linter.
-
-    *expression* is a symbolic upper bound over the
-    :data:`COST_SYMBOLS` vocabulary, e.g. ``@cost("n**2 * c")`` — sums
-    of products of symbols, ``sym**INT`` powers, ``log(sym)`` factors
-    and ``exp(sym)`` (or ``2**sym``) exponential markers.  The optional
-    ``scale="large"`` tag promises the function is safe on large
-    instances (R502 then forbids reachable dense all-pairs metric
-    builds).
-
-    The declaration is attached as ``__cost__`` / ``__cost_scale__`` and
-    checked *statically* by ``repro lint --cost`` (rule R500: the
-    inferred bound must be covered by the declared one) and *empirically*
-    by ``repro lint --cost --profile-check`` (rule R504: measured
-    scaling exponents must not exceed the declaration).  Like
-    :func:`effects`, no wrapper is installed: the function object is
-    returned unchanged and the declaration costs nothing at call time.
-    """
-    if not isinstance(expression, str):
-        raise ValidationError(
-            f"cost expression must be a string, got {expression!r}"
-        )
-    problems = cost_expression_problems(expression)
-    if problems:
-        raise ValidationError(
-            f"malformed cost expression {expression!r}: "
-            + "; ".join(problems)
-        )
-    if scale is not None and scale not in COST_SCALES:
-        raise ValidationError(
-            f"unknown cost scale {scale!r}; known: {sorted(COST_SCALES)}"
-        )
-
-    def decorate(func: _F) -> _F:
-        func.__cost__ = expression  # type: ignore[attr-defined]
-        func.__cost_scale__ = scale  # type: ignore[attr-defined]
-        return func
-
-    return decorate
-
-
 def exception_name_problems(name: Any) -> tuple[str, ...]:
     """Syntax-check one :func:`raises` entry; returns problem messages.
 
@@ -592,7 +425,7 @@ def raises(*names: str, transient: Sequence[str] = ()) -> Callable[[_F], _F]:
     escape set by ``repro lint --errors`` (rule R600); validated entry
     points are published in the ``repro-error-contract`` certificate
     that :func:`repro.resilience.retrying` gates retries on.  Like
-    :func:`effects` and :func:`cost`, no wrapper is installed: the
+    :func:`effects`, no wrapper is installed: the
     function object is returned unchanged (so it stays picklable for
     process pools) and the declaration costs nothing at call time.
     """

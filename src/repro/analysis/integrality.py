@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._validation import check_integer_in_range, check_positive, cost, raises
+from .._validation import check_integer_in_range, check_positive, raises
 from ..core.ssqpp import build_ssqpp_lp
 from ..network.generators import broom_network
 from ..network.graph import Network
@@ -67,7 +67,6 @@ def _single_quorum_system(n: int) -> tuple[QuorumSystem, AccessStrategy]:
     return system, AccessStrategy.uniform(system)
 
 
-@cost("n**2 * q**2")
 @raises("ValidationError")
 def solve_gap_instance_lp(
     system: QuorumSystem,

@@ -48,12 +48,10 @@ from .core import (
 )
 from .exceptions import ReproError, ValidationError
 from .lint.cli import (
-    add_cost_arguments,
     add_deps_arguments,
     add_errors_arguments,
     add_lint_arguments,
     add_trace_arguments,
-    run_cost,
     run_deps,
     run_errors,
     run_lint,
@@ -533,10 +531,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return run_trace(args)
 
 
-def _cmd_cost(args: argparse.Namespace) -> int:
-    return run_cost(args)
-
-
 def _cmd_errors(args: argparse.Namespace) -> int:
     return run_errors(args)
 
@@ -714,16 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_lint_arguments(p_lint)
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_cost = sub.add_parser(
-        "cost",
-        help="render the declared/inferred asymptotic-cost table (R500's view)",
-        description="Symbolic cost bounds per solver entry point: @cost "
-        "declarations vs static inference; --check exits 1 on gaps. "
-        "See docs/performance.md.",
-    )
-    add_cost_arguments(p_cost)
-    p_cost.set_defaults(func=_cmd_cost)
 
     p_errors = sub.add_parser(
         "errors",

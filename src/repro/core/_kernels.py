@@ -23,7 +23,7 @@ from collections.abc import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .._validation import contract, cost, require
+from .._validation import contract, require
 from ..quorums.base import QuorumSystem
 
 __all__ = [
@@ -42,7 +42,6 @@ _MAX_BLOCK_ELEMENTS = 1 << 22
 
 
 @contract(returns={"shape": ("s", "L"), "dtype": "int"})
-@cost("n * q")
 def quorum_member_matrix(
     system: QuorumSystem, quorum_indices: Sequence[int]
 ) -> NDArray[np.intp]:
@@ -86,7 +85,6 @@ def quorum_member_matrix(
     simplex=("probabilities",),
     returns={"shape": ("c",), "dtype": "float"},
 )
-@cost("n * q")
 def expected_max_delays(
     matrix: NDArray[np.float64],
     image_indices: NDArray[np.intp],
@@ -138,7 +136,6 @@ def expected_max_delays(
     nonnegative=("loads",),
     returns={"shape": ("c",), "dtype": "float"},
 )
-@cost("n * q")
 def expected_total_delays(
     matrix: NDArray[np.float64],
     image_indices: NDArray[np.intp],
@@ -165,7 +162,6 @@ def expected_total_delays(
     nonnegative=("loads",),
     returns={"shape": ("n",), "dtype": "float", "nonnegative": True},
 )
-@cost("n * q")
 def node_load_vector(
     image_indices: NDArray[np.intp], loads: NDArray[np.float64], size: int
 ) -> NDArray[np.float64]:
@@ -189,7 +185,6 @@ def node_load_vector(
     nonnegative=("load_vector",),
     returns={"shape": ("n",), "dtype": "float", "nonnegative": True},
 )
-@cost("n * q")
 def capacity_factors(
     load_vector: NDArray[np.float64], capacities: NDArray[np.float64]
 ) -> NDArray[np.float64]:
@@ -212,7 +207,6 @@ def capacity_factors(
     dtypes={"load_vector": "float", "capacities": "float"},
     nonnegative=("load_vector",),
 )
-@cost("n * q")
 def max_capacity_factor(
     load_vector: NDArray[np.float64], capacities: NDArray[np.float64]
 ) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_positive, check_probability, cost, raises
+from .._validation import check_positive, check_probability, raises
 from .._pareto import ParetoPoint, pareto_front
 from ..gap.instance import GAPInstance
 from ..gap.lp import FractionalAssignment
@@ -75,7 +75,6 @@ class ScalarizedResult:
     max_load_factor: float
 
 
-@cost("n**2 * q**2")
 @raises("ValidationError", transient=("SolverError",))
 def solve_scalarized_placement(
     system: QuorumSystem,

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .._compat import solver_api
-from .._validation import cost, raises, require
+from .._validation import raises, require
 from ..exceptions import InfeasibleError, ValidationError
 from ..network.graph import Network, Node
 from ..obs.trace import span
@@ -143,7 +143,6 @@ def _enumerate_optimal(
 
 
 @solver_api(legacy_positional=("network", "source"))
-@cost("exp(n) * q")
 @raises("InfeasibleError", "ValidationError")
 def solve_ssqpp_exact(
     system: QuorumSystem,
@@ -163,7 +162,6 @@ def solve_ssqpp_exact(
 
 
 @solver_api(legacy_positional=("network",))
-@cost("exp(n) * q")
 @raises("InfeasibleError", "ValidationError")
 def solve_qpp_exact(
     system: QuorumSystem,
@@ -182,7 +180,6 @@ def solve_qpp_exact(
 
 
 @solver_api(legacy_positional=("network",))
-@cost("exp(n) * q")
 @raises("InfeasibleError", "ValidationError")
 def solve_total_delay_exact(
     system: QuorumSystem,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .._compat import solver_api
 from .._results import Provenance, SolveResult
-from .._validation import check_integer_in_range, check_positive, cost, raises
+from .._validation import check_integer_in_range, check_positive, raises
 from ..exceptions import CapacityError, ValidationError
 from ..network.graph import Network, Node
 from ..obs.trace import span
@@ -173,7 +173,6 @@ def _realized_load_factor(
 
 # paper: Thm 1.3, Thm B.1, §4
 @solver_api(legacy_positional=("k",))
-@cost("n * q + n * log(n)")
 @raises("CapacityError", "ValidationError")
 def optimal_grid_placement(network: Network, source: Node, *, k: int) -> GridLayoutResult:
     """Place ``grid(k)`` optimally for source *source* (Theorem B.1).

@@ -27,7 +27,7 @@ from typing import ClassVar
 
 from .._compat import solver_api
 from .._results import Provenance, SolveResult
-from .._validation import check_integer_in_range, cost, raises
+from .._validation import check_integer_in_range, raises
 from ..exceptions import ValidationError
 from ..network.graph import Network, Node
 from ..obs.trace import span
@@ -95,7 +95,6 @@ class MajorityLayoutResult(SolveResult):
 
 # paper: Thm 1.3, §4
 @solver_api(legacy_positional=("n", "t"))
-@cost("n * q + n * log(n)")
 @raises("CapacityError", "ValidationError")
 def optimal_majority_placement(
     network: Network, source: Node, *, n: int, t: int | None = None

@@ -37,7 +37,7 @@ from itertools import permutations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .._validation import check_integer_in_range, check_scale, cost, raises, require
+from .._validation import check_integer_in_range, check_scale, raises, require
 from ..exceptions import ValidationError
 from ..network.graph import Network, Node
 from ..quorums.base import Element, QuorumSystem
@@ -123,7 +123,6 @@ def _deployment_cost(
     return float(np.mean([gamma[v, client_to_quorum[v]] for v in range(network.size)]))
 
 
-@cost("n * q**2")
 @raises("ValidationError")
 def solve_partial_deployment(
     system: QuorumSystem,
@@ -220,7 +219,6 @@ def solve_partial_deployment(
     )
 
 
-@cost("exp(n) * q**2")
 @raises("ValidationError")
 def solve_partial_deployment_exact(
     system: QuorumSystem, network: Network

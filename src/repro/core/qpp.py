@@ -37,7 +37,6 @@ from .._validation import (
     check_integer_in_range,
     check_positive,
     check_scale,
-    cost,
     effects,
     raises,
     require,
@@ -146,7 +145,6 @@ def _qpp_candidate_worker(
 
 # paper: Thm 1.2, Thm 3.3, §3
 @solver_api(legacy_positional=("network",))
-@cost("n**2 * q * c")
 @raises("ParallelSafetyError", "ValidationError", transient=("SolverError",))
 def solve_qpp(
     system: QuorumSystem,
@@ -179,8 +177,9 @@ def solve_qpp(
     candidate_sources:
         Restrict the relay-candidate sweep (default: all nodes).  The
         Theorem 1.2 guarantee formally needs all nodes; a restricted sweep
-        retains the load bound and the certified lower bound but may lose
-        the delay guarantee.
+        retains the load bound but may lose the delay guarantee, and it
+        voids the certified lower bound: the result then reports
+        ``optimum_lower_bound = 0.0`` and its provenance names why.
     rates:
         Optional per-client access rates (§6 extension); both the
         objective and the lower bound become rate-weighted averages.
@@ -327,12 +326,19 @@ def solve_qpp(
                 best_source = source
 
     assert best is not None and best_source is not None
+    void = _void_bound_reasons(network, candidates, restricted=False)
+    if void:
+        lower_bound = 0.0
     return QPPResult(
         placement=best.placement,
         objective=best_delay,
         load_violation_factor=best.max_load_factor,
         provenance=Provenance.of(
-            "qpp.relay-sweep", "Thm 1.2", alpha=alpha, formulation=formulation
+            "qpp.relay-sweep",
+            "Thm 1.2",
+            alpha=alpha,
+            formulation=formulation,
+            **void,
         ),
         source=best_source,
         alpha=alpha,
@@ -342,6 +348,28 @@ def solve_qpp(
         per_source=per_source,
         telemetry=telemetry.snapshot,
     )
+
+
+def _void_bound_reasons(
+    network: Network, candidates: Sequence[Node], *, restricted: bool
+) -> dict[str, str]:
+    """Why the sweep's Theorem 3.3 lower bound is not a certificate.
+
+    ``min over v0 of (d(v0) + LP(v0)) / 5`` bounds OPT only because the
+    OPT-dependent source of Lemma 3.1 is among the swept ``v0``, so the
+    candidates must cover every node; and a restricted placement domain
+    makes each LP optimum an upper bound on ``Z*``, not a lower one.
+    Returns ``{}`` for a certified bound, else the ``lower_bound_void``
+    provenance parameter.
+    """
+    reasons = []
+    if len(candidates) < network.size:
+        reasons.append(
+            f"partial candidate sweep ({len(candidates)} of {network.size} nodes)"
+        )
+    if restricted:
+        reasons.append("restricted placement domain")
+    return {"lower_bound_void": "; ".join(reasons)} if reasons else {}
 
 
 #: Minimum prefix length of the ``horizon="auto"`` placement domain.
@@ -394,7 +422,6 @@ def _capacity_prefix_domain(
 
 
 # paper: Thm 1.2, Thm 3.3, §3
-@cost("n**2 * q * c", scale="large")
 @effects("reads-global", "writes-metrics")
 def _solve_qpp_large(
     system: QuorumSystem,
@@ -426,7 +453,8 @@ def _solve_qpp_large(
        source (see :func:`_capacity_prefix_domain`).  Restriction voids
        the Theorem 3.3 certificate: the restricted LP optimum
        upper-bounds the true ``Z*``, so the result reports
-       ``optimum_lower_bound = 0.0`` whenever any domain was restricted.
+       ``optimum_lower_bound = 0.0`` whenever any domain was restricted,
+       as it does whenever the candidates miss a node.
     3. **Pruning** skips the exact streamed evaluation of a candidate
        whose oracle lower bound already reaches the incumbent — sound
        because the exact value can only be larger, so the strict ``<``
@@ -513,7 +541,8 @@ def _solve_qpp_large(
                 best_source = source
 
     assert best is not None and best_source is not None
-    if restricted or lower_bound == float("inf"):
+    void = _void_bound_reasons(network, candidates, restricted=restricted)
+    if void:
         lower_bound = 0.0
     return QPPResult(
         placement=best.placement,
@@ -526,6 +555,7 @@ def _solve_qpp_large(
             formulation=formulation,
             landmarks=k,
             horizon=horizon,
+            **void,
         ),
         source=best_source,
         alpha=alpha,

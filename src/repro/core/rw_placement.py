@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .._compat import solver_api
-from .._validation import check_probability, check_scale, cost, raises
+from .._validation import check_probability, check_scale, raises
 from ..network.graph import Network, Node
 from ..network.lazymetric import LandmarkOracle
 from ..quorums.readwrite import ReadWriteQuorumSystem
@@ -64,7 +64,6 @@ class RWPlacementResult:
 
 
 @solver_api(legacy_positional=("source",))
-@cost("n**2 * q")
 @raises("ValidationError", transient=("SolverError",))
 def solve_rw_ssqpp(
     rw_system: ReadWriteQuorumSystem,
@@ -98,7 +97,6 @@ def solve_rw_ssqpp(
     )
 
 
-@cost("n**2 * q * c")
 @raises("ValidationError", transient=("SolverError",))
 def solve_rw_placement(
     rw_system: ReadWriteQuorumSystem,

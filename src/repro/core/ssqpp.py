@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._compat import solver_api
-from .._validation import check_positive, check_scale, cost, raises, require
+from .._validation import check_positive, check_scale, raises, require
 from ..exceptions import InfeasibleError, ValidationError
 from ..obs.trace import span
 from ..gap.instance import GAPInstance
@@ -510,7 +510,6 @@ def _filter_fractions(
 
 # paper: Thm 3.7, Thm 3.12, §3.3
 @solver_api(legacy_positional=("network", "source"))
-@cost("n**2 * q")
 @raises("ValidationError", transient=("SolverError",))
 def solve_ssqpp(
     system: QuorumSystem,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .._compat import solver_api
 from .._results import Provenance, SolveResult
-from .._validation import check_scale, cost, raises, require
+from .._validation import check_scale, raises, require
 from ..gap.instance import GAPInstance
 from ..gap.solver import GAPSolution, solve_gap
 from ..network.graph import Network, Node
@@ -47,7 +47,6 @@ _ZERO = 1e-12
 
 
 # paper: §5 at 10^3-10^5 nodes
-@cost("n**2", scale="large")
 def _average_distance_streamed(view: object, weights: np.ndarray) -> np.ndarray:
     """``weights @ D`` accumulated over lazy row blocks.
 
@@ -99,7 +98,6 @@ class TotalDelayResult(SolveResult):
 
 # paper: Thm 1.4, §5
 @solver_api(legacy_positional=("network",))
-@cost("n**2 * q**2")
 @raises("InfeasibleError", "ValidationError", transient=("SolverError",))
 def solve_total_delay(
     system: QuorumSystem,

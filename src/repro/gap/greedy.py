@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import cost, raises
+from .._validation import raises
 from ..exceptions import InfeasibleError
 from .instance import GAPInstance, Label
 
@@ -29,7 +29,6 @@ class GreedyAssignment:
     machine_loads: dict[Label, float]
 
 
-@cost("n * q + q * log(q)")
 @raises("InfeasibleError")
 def solve_gap_greedy(instance: GAPInstance) -> GreedyAssignment:
     """Greedy cheapest-feasible-machine assignment.

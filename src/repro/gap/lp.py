@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._compat import solver_api
-from .._validation import cost, raises, require
+from .._validation import raises, require
 from ..exceptions import InfeasibleError
 from ..lp import Model
 from ..obs.trace import span
@@ -64,7 +64,6 @@ class FractionalAssignment:
 
 
 @solver_api(aliases={"method": "lp_method"})
-@cost("n**2 * q**2")
 @raises("InfeasibleError", "ValidationError")
 def solve_gap_lp(
     instance: GAPInstance, *, lp_method: str = "highs-ds"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .._compat import solver_api
 from .._results import Provenance, SolveResult
-from .._validation import check_integer_in_range, cost, raises
+from .._validation import check_integer_in_range, raises
 from ..exceptions import InfeasibleError, ValidationError
 from ..obs.trace import span
 from .instance import GAPInstance, Label
@@ -81,7 +81,6 @@ def _worst_violation(machine_loads: Mapping[Label, float], instance: GAPInstance
 
 
 @solver_api(aliases={"method": "lp_method"})
-@cost("n**2 * q**2")
 @raises("InfeasibleError", "ValidationError", transient=("SolverError",))
 def solve_gap(  # repro-lint: disable=R001 (delegates to solve_gap_lp's checks)
     instance: GAPInstance, *, lp_method: str = "highs-ds"
@@ -108,7 +107,6 @@ def solve_gap(  # repro-lint: disable=R001 (delegates to solve_gap_lp's checks)
     )
 
 
-@cost("exp(q) * n")
 @raises("InfeasibleError", "ValidationError")
 def solve_gap_exact(instance: GAPInstance) -> GAPSolution:
     """Exhaustive optimal GAP solution (capacities respected exactly).

@@ -24,15 +24,7 @@ every function's side-effect set interprocedurally — purity, global
 reads/writes, metric writes, ambient RNG, IO, spawning — checks it
 against ``@effects`` declarations, and emits the parallel-safety
 certificate (``--certificate``) that :func:`repro.parallel.parallel_map`
-gates process fan-out on.  The cost ruleset (R500–R504, ``lint
---cost``) infers a symbolic asymptotic bound for every function from
-loop structure and the call graph, checks it against ``@cost``
-declarations, guards solver hot paths against undeclared superlinear
-allocations and scalar reference oracles, forbids dense all-pairs
-metric builds behind ``scale="large"`` tags, and — uniquely — verifies
-declarations *empirically* against profiled timings at multiple
-instance sizes (``--profile-check``, rule R504); ``repro cost`` renders
-the declared/inferred table.  The repository lints itself in CI and in
+gates process fan-out on.  The repository lints itself in CI and in
 ``tests/test_lint_self.py``, so refactors toward the production-scale
 roadmap cannot silently erode the invariants the paper's theorems rely
 on.
@@ -52,27 +44,12 @@ See ``docs/static_analysis.md`` for the rule catalogue and rationale.
 
 from __future__ import annotations
 
-from . import cost_rules as _cost_rules  # noqa: F401  (registers R5xx)
 from . import dataflow_rules as _dataflow_rules  # noqa: F401  (registers R2xx)
 from . import effect_rules as _effect_rules  # noqa: F401  (registers R4xx)
 from . import error_rules as _error_rules  # noqa: F401  (registers R6xx)
 from . import rules as _rules  # noqa: F401  (imports register the ruleset)
 from .config import LintConfig, config_from_table, load_config, merge_cli_options
 from .contracts import FunctionContract, extract_module_contracts
-from .cost_rules import CostContext, build_cost_context
-from .costmodel import (
-    CostBound,
-    FunctionCost,
-    Monomial,
-    analyze_costs,
-    build_cost_table,
-    load_cost_telemetry,
-    parse_cost_expression,
-    render_cost_table_json,
-    render_cost_table_markdown,
-    render_cost_table_text,
-    validate_cost_telemetry,
-)
 from .dataflow_rules import DataflowContext, build_dataflow_context
 from .effect_rules import EffectContext, build_effect_context
 from .error_rules import ErrorContext, build_error_context
@@ -97,7 +74,6 @@ from .effects import (
     validate_certificate,
 )
 from .engine import (
-    CostRule,
     DataflowRule,
     EffectRule,
     ErrorRule,
@@ -127,9 +103,6 @@ from .trace import (
 )
 
 __all__ = [
-    "CostBound",
-    "CostContext",
-    "CostRule",
     "DataflowContext",
     "DataflowRule",
     "EffectContext",
@@ -138,7 +111,6 @@ __all__ = [
     "ErrorRule",
     "Finding",
     "FunctionContract",
-    "FunctionCost",
     "FunctionEffects",
     "FunctionErrors",
     "GlobalsInventory",
@@ -146,7 +118,6 @@ __all__ = [
     "LintConfig",
     "ModuleContext",
     "ModuleGraph",
-    "Monomial",
     "ParseCache",
     "ParsedFile",
     "ProgramContext",
@@ -155,14 +126,11 @@ __all__ = [
     "Rule",
     "SuppressionTable",
     "TraceMatrix",
-    "analyze_costs",
     "analyze_effects",
     "analyze_errors",
     "analyze_resources",
     "build_certificate",
     "build_certificate_for_paths",
-    "build_cost_context",
-    "build_cost_table",
     "build_dataflow_context",
     "build_effect_context",
     "build_error_context",
@@ -179,17 +147,12 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "load_config",
-    "load_cost_telemetry",
     "load_module_graph",
     "merge_cli_options",
     "module_name_for",
-    "parse_cost_expression",
     "register_rule",
     "registered_rules",
     "render_certificate",
-    "render_cost_table_json",
-    "render_cost_table_markdown",
-    "render_cost_table_text",
     "render_error_contract",
     "render_error_table_markdown",
     "render_error_table_text",
@@ -200,6 +163,5 @@ __all__ = [
     "render_text",
     "sort_findings",
     "validate_certificate",
-    "validate_cost_telemetry",
     "validate_error_contract",
 ]

@@ -17,12 +17,8 @@ import re
 import sys
 from collections.abc import Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
-
 from ..exceptions import LintError
 
-if TYPE_CHECKING:  # pragma: no cover - runtime import stays lazy
-    from .costmodel import CostObservation
 from .config import LintConfig, load_config, merge_cli_options
 from .engine import ParseCache, lint_paths, registered_rules
 from .findings import Finding, render_json, render_text
@@ -33,13 +29,11 @@ __all__ = [
     "add_lint_arguments",
     "add_deps_arguments",
     "add_trace_arguments",
-    "add_cost_arguments",
     "add_errors_arguments",
     "render_rule_index_markdown",
     "run_lint",
     "run_deps",
     "run_trace",
-    "run_cost",
     "run_errors",
     "main",
 ]
@@ -101,21 +95,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="also run the R400-series effect/concurrency-safety rules "
         "(effect-declaration checks, pure-function writes, ambient RNG "
         "on solver entry points, pool picklability, telemetry scoping)",
-    )
-    parser.add_argument(
-        "--cost",
-        action="store_true",
-        help="also run the R500-series asymptotic-cost rules (declared "
-        "vs inferred bounds, hot-loop allocations, dense metric builds "
-        "behind scale='large', reference oracles on hot paths)",
-    )
-    parser.add_argument(
-        "--profile-check",
-        default=None,
-        metavar="TELEMETRY",
-        help="a repro-cost-telemetry JSON file with timings at two or "
-        "more instance sizes; R504 flags declarations the measured "
-        "scaling contradicts; implies --cost",
     )
     parser.add_argument(
         "--certificate",
@@ -272,7 +251,6 @@ _TIER_BY_SERIES = {
     "R2": "dataflow (`--dataflow`)",
     "R3": "per-file",
     "R4": "effects (`--effects`)",
-    "R5": "cost (`--cost`)",
     "R6": "errors (`--errors`)",
 }
 
@@ -307,19 +285,10 @@ def run_lint(args: argparse.Namespace) -> int:
     wants_effects = bool(getattr(args, "effects", False)) or (
         certificate_path is not None
     )
-    telemetry_path = getattr(args, "profile_check", None)
-    wants_cost = bool(getattr(args, "cost", False)) or (
-        telemetry_path is not None
-    )
     contract_path = getattr(args, "error_contract", None)
     wants_errors = bool(getattr(args, "errors", False)) or (
         contract_path is not None
     )
-    telemetry: tuple[CostObservation, ...] = ()
-    if telemetry_path is not None:
-        from .costmodel import load_cost_telemetry
-
-        telemetry = load_cost_telemetry(telemetry_path)
     sarif_path = getattr(args, "sarif", None)
     suppressed: list[Finding] | None = (
         [] if sarif_path is not None else None
@@ -331,9 +300,7 @@ def run_lint(args: argparse.Namespace) -> int:
         whole_program=bool(getattr(args, "whole_program", False)),
         dataflow=bool(getattr(args, "dataflow", False)),
         effects=wants_effects,
-        cost=wants_cost,
         errors=wants_errors,
-        cost_telemetry=telemetry,
         cache=cache,
         suppressed_sink=suppressed,
     )
@@ -456,76 +423,6 @@ def run_trace(args: argparse.Namespace) -> int:
         covered, total = matrix.coverage_counts()
         if covered < total or matrix.unknown:
             return 1
-    return 0
-
-
-def add_cost_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``cost`` options to *parser*."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="implementation files or directories to analyze (default: src)",
-    )
-    rendering = parser.add_mutually_exclusive_group()
-    rendering.add_argument(
-        "--json",
-        action="store_true",
-        dest="json_output",
-        help="emit the stable machine-readable cost-table document",
-    )
-    rendering.add_argument(
-        "--markdown",
-        action="store_true",
-        help="emit a markdown table suitable for embedding in README",
-    )
-    parser.add_argument(
-        "--config",
-        default=None,
-        metavar="PYPROJECT",
-        help="explicit pyproject.toml to read [tool.repro-lint] from "
-        "(default: nearest one above the first path)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 unless every listed function is declared and every "
-        "declaration covers its inferred bound",
-    )
-
-
-def run_cost(args: argparse.Namespace) -> int:
-    """Execute a parsed ``cost`` invocation; returns the exit code."""
-    # Runtime import: the cost table shares the parse substrate, but the
-    # deps-only code path must not pay for it.
-    from .costmodel import (
-        analyze_costs,
-        build_cost_table,
-        render_cost_table_json,
-        render_cost_table_markdown,
-        render_cost_table_text,
-    )
-    from .engine import iter_python_files
-    from .interproc import build_program_context
-
-    config = _base_config(args)
-    cache = ParseCache()
-    parsed = [cache.parsed(path) for path in iter_python_files(args.paths, config)]
-    program = build_program_context(parsed, config, cache=cache)
-    document = build_cost_table(program, analyze_costs(program))
-    if args.json_output:
-        print(render_cost_table_json(document), end="")
-    elif args.markdown:
-        print(render_cost_table_markdown(document))
-    else:
-        print(render_cost_table_text(document))
-    if args.check:
-        functions = document["functions"]
-        assert isinstance(functions, dict)
-        for entry in functions.values():
-            assert isinstance(entry, dict)
-            if entry.get("covered") is not True:
-                return 1
     return 0
 
 

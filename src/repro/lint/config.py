@@ -158,8 +158,8 @@ class LintConfig:
     def wants(self, rule_id: str) -> bool:
         """Whether *rule_id* should run under select/ignore settings.
 
-        Entries match exactly (``"R500"``) or as series prefixes when
-        shorter than a full rule id (``"R5"`` selects every R500-series
+        Entries match exactly (``"R400"``) or as series prefixes when
+        shorter than a full rule id (``"R4"`` selects every R400-series
         rule), so ``--select``/``--ignore`` can address whole tiers.
         """
         if _rule_matches(rule_id, self.ignore):
@@ -175,7 +175,7 @@ def _rule_matches(rule_id: str, entries: Iterable[str]) -> bool:
     """Whether *rule_id* matches any exact id or series prefix in *entries*.
 
     A full four-character id matches only itself; anything shorter acts
-    as a prefix (``"R5"``, ``"R50"``), so select/ignore can address a
+    as a prefix (``"R4"``, ``"R40"``), so select/ignore can address a
     whole rule series without enumerating it.
     """
     return any(

@@ -32,15 +32,12 @@ from .findings import Finding, sort_findings
 from .suppressions import ALL_RULES, SuppressionTable, collect_suppressions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .cost_rules import CostContext
-    from .costmodel import CostObservation
     from .dataflow_rules import DataflowContext
     from .effect_rules import EffectContext
     from .error_rules import ErrorContext
     from .interproc import ProgramContext
 
 __all__ = [
-    "CostRule",
     "DataflowRule",
     "EffectRule",
     "ErrorRule",
@@ -292,24 +289,6 @@ class EffectRule(ABC):
         """Yield findings for the analyzed program; must not mutate it."""
 
 
-class CostRule(ABC):
-    """One asymptotic-cost invariant (the R500 series).
-
-    Like :class:`DataflowRule`, deliberately not a :class:`ProgramRule`
-    subclass: these rules additionally need the symbolic cost fixpoint
-    and the solver-reachability set, which only ``lint --cost`` builds
-    (on top of the same :class:`~repro.lint.interproc.ProgramContext`).
-    """
-
-    id: str
-    name: str
-    summary: str
-
-    @abstractmethod
-    def check_cost(self, context: "CostContext") -> Iterable[Finding]:
-        """Yield findings for the analyzed program; must not mutate it."""
-
-
 class ErrorRule(ABC):
     """One exception-flow / resource-safety invariant (the R600 series).
 
@@ -329,7 +308,7 @@ class ErrorRule(ABC):
         """Yield findings for the analyzed program; must not mutate it."""
 
 
-AnyRule = Rule | ProgramRule | DataflowRule | EffectRule | CostRule | ErrorRule
+AnyRule = Rule | ProgramRule | DataflowRule | EffectRule | ErrorRule
 
 _REGISTRY: dict[str, AnyRule] = {}
 
@@ -496,9 +475,7 @@ def lint_paths(
     whole_program: bool = False,
     dataflow: bool = False,
     effects: bool = False,
-    cost: bool = False,
     errors: bool = False,
-    cost_telemetry: "Sequence[CostObservation]" = (),
     cache: ParseCache | None = None,
     suppressed_sink: list[Finding] | None = None,
 ) -> list[Finding]:
@@ -511,10 +488,7 @@ def lint_paths(
     abstract-interpretation substrate and runs the R200-series contract
     rules (see :mod:`repro.lint.dataflow_rules`); ``effects=True`` the
     globals census plus effect fixpoint and the R400-series rules (see
-    :mod:`repro.lint.effect_rules`); ``cost=True`` the symbolic cost
-    fixpoint and the R500-series rules (see
-    :mod:`repro.lint.cost_rules`), with *cost_telemetry* feeding R504's
-    measured-scaling check; ``errors=True`` the exception-escape
+    :mod:`repro.lint.effect_rules`); ``errors=True`` the exception-escape
     fixpoint plus resource-lifecycle report and the R600-series rules
     (see :mod:`repro.lint.error_rules`).  Each implies the program
     context, but not the R100 rules themselves; any combination of tier
@@ -541,7 +515,7 @@ def lint_paths(
         findings.extend(
             _suppression_findings(parsed.path, parsed.suppressions)
         )
-    if whole_program or dataflow or effects or cost or errors:
+    if whole_program or dataflow or effects or errors:
         # Runtime import breaks the engine <-> interproc module cycle;
         # both live in the same layer so R100 stays satisfied.
         from .interproc import build_program_context
@@ -580,14 +554,6 @@ def lint_paths(
             effect_context = build_effect_context(program)
             for rule in tier_rules(EffectRule):
                 collect(rule.check_effects(effect_context))
-        if cost:
-            from .cost_rules import build_cost_context
-
-            cost_context = build_cost_context(
-                program, telemetry=cost_telemetry
-            )
-            for rule in tier_rules(CostRule):
-                collect(rule.check_cost(cost_context))
         if errors:
             from .error_rules import build_error_context
 

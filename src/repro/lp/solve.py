@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .._validation import cost, raises
+from .._validation import raises
 from ..exceptions import InfeasibleError, SolverError, UnboundedError
 from ..obs.metrics import counter
 from ..obs.trace import span
@@ -153,7 +153,6 @@ def _compile(model: Model):
     ), model.bounds(), sign, dual_map
 
 
-@cost("n**2 * q**2")
 @raises("InfeasibleError", "UnboundedError", transient=("SolverError",))
 def solve_model(model: Model, method: str = "highs") -> Solution:
     """Solve *model* and return its optimal :class:`Solution`.

@@ -39,7 +39,7 @@ from typing import NamedTuple, Protocol, runtime_checkable
 import numpy as np
 from numpy.typing import NDArray
 
-from .._validation import check_integer_in_range, cost, require
+from .._validation import check_integer_in_range, require
 from ..exceptions import ValidationError
 from ..obs.metrics import counter, gauge
 from .graph import Network, Node
@@ -336,7 +336,6 @@ class LazyMetric:
 # -- landmark oracle ------------------------------------------------------------------
 
 
-@cost("c * n", scale="large")
 def farthest_point_landmarks(
     metric: MetricView, k: int, *, start: Node | None = None
 ) -> list[Node]:

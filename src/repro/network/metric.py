@@ -18,7 +18,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .._validation import contract, cost
+from .._validation import contract
 from ..exceptions import ValidationError
 from ..obs.trace import span
 from .graph import Network, Node
@@ -26,7 +26,6 @@ from .graph import Network, Node
 __all__ = ["dijkstra", "dijkstra_batched", "Metric"]
 
 
-@cost("n * log(n) + m * log(n)", scale="large")
 def dijkstra(adjacency: Mapping[Node, Mapping[Node, float]], source: Node) -> dict[Node, float]:
     """Single-source shortest-path distances by Dijkstra's algorithm.
 
@@ -69,7 +68,6 @@ def dijkstra(adjacency: Mapping[Node, Mapping[Node, float]], source: Node) -> di
 
 
 @contract(returns={"shape": ("k", "n"), "dtype": "float", "nonnegative": True})
-@cost("n**2 * log(n) + n * m * log(n)")
 def dijkstra_batched(
     adjacency: Mapping[Node, Mapping[Node, float]],
     sources: Sequence[Node] | None = None,

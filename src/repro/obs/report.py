@@ -10,7 +10,6 @@ deliberately strict about structure and loose about values, mirroring
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -24,7 +23,6 @@ __all__ = [
     "telemetry_document",
     "validate_telemetry_document",
     "derived_metrics",
-    "fit_scaling_exponent",
     "metrics_table_rows",
 ]
 
@@ -134,44 +132,6 @@ def validate_telemetry_document(document: Mapping[str, Any]) -> None:
     ):
         if key not in derived:
             raise ValidationError(f"telemetry derived block is missing key {key!r}")
-
-
-def fit_scaling_exponent(
-    sizes: Sequence[float], seconds: Sequence[float]
-) -> float:
-    """The empirical scaling exponent of timings against instance sizes.
-
-    Fits ``seconds ~ size**e`` by ordinary least squares in log-log
-    space and returns the slope ``e``.  This is the estimator behind
-    rule R504 (``repro lint --cost --profile-check``): timings captured
-    at two or three instance sizes are enough to contradict a
-    polynomial-degree declaration, which is all the rule asks — it
-    compares exponents one-sidedly, never absolute constants.
-
-    Requires at least two observations at distinct positive sizes with
-    positive timings; raises :class:`~repro.exceptions.ValidationError`
-    otherwise.
-    """
-    require(
-        len(sizes) == len(seconds),
-        "sizes and seconds must have the same length",
-    )
-    require(len(sizes) >= 2, "need at least two observations to fit a slope")
-    require(
-        all(size > 0 for size in sizes) and all(sec > 0 for sec in seconds),
-        "sizes and seconds must be positive for a log-log fit",
-    )
-    require(
-        len(set(sizes)) >= 2,
-        "need observations at two or more distinct sizes",
-    )
-    xs = [math.log(float(size)) for size in sizes]
-    ys = [math.log(float(sec)) for sec in seconds]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return sxy / sxx
 
 
 def metrics_table_rows(

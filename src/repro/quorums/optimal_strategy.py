@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._validation import cost, raises
+from .._validation import raises
 from ..lp import Model
 from .base import QuorumSystem
 from .strategy import AccessStrategy
@@ -46,7 +46,6 @@ class OptimalStrategyResult:
     load: float
 
 
-@cost("n * q**2")
 @raises("ValidationError")
 def optimal_strategy(  # repro-lint: disable=R001 (input pre-validated by type)
     system: QuorumSystem,

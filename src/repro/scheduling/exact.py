@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._validation import cost, raises, require
+from .._validation import raises, require
 from ..exceptions import ValidationError
 from .precedence import Job, SchedulingInstance
 
@@ -28,7 +28,6 @@ class ExactSchedule:
     cost: float
 
 
-@cost("exp(q)")
 @raises("ValidationError")
 def solve_scheduling_exact(instance: SchedulingInstance) -> ExactSchedule:
     """Find an optimal linear extension by branch-and-bound.

@@ -29,7 +29,7 @@ class TestGeneralMetricGap:
         """Cross-check the claimed integral optimum by brute force."""
         instance = general_metric_gap_instance(5, 20.0)
         exact = solve_ssqpp_exact(
-            instance.system, instance.strategy, instance.network, instance.source
+            instance.system, instance.strategy, network=instance.network, source=instance.source
         )
         assert exact.objective == pytest.approx(instance.integral_optimum)
 
@@ -42,7 +42,7 @@ class TestBroomGap:
             pytest.skip("brute force too large beyond k=3")
         instance = broom_gap_instance(k)
         exact = solve_ssqpp_exact(
-            instance.system, instance.strategy, instance.network, instance.source
+            instance.system, instance.strategy, network=instance.network, source=instance.source
         )
         assert exact.objective == pytest.approx(float(k))
 

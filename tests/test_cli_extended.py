@@ -65,8 +65,8 @@ class TestQPPFormulationPassThrough:
         )
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
-        prefix = solve_qpp(system, strategy, network, formulation="prefix")
-        cumulative = solve_qpp(system, strategy, network, formulation="cumulative")
+        prefix = solve_qpp(system, strategy, network=network, formulation="prefix")
+        cumulative = solve_qpp(system, strategy, network=network, formulation="cumulative")
         assert cumulative.optimum_lower_bound == pytest.approx(
             prefix.optimum_lower_bound, abs=1e-7
         )

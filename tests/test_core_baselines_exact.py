@@ -92,9 +92,9 @@ class TestExactSolvers:
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
         for solver in (
-            lambda: solve_ssqpp_exact(system, strategy, network, network.nodes[0]),
-            lambda: solve_qpp_exact(system, strategy, network),
-            lambda: solve_total_delay_exact(system, strategy, network),
+            lambda: solve_ssqpp_exact(system, strategy, network=network, source=network.nodes[0]),
+            lambda: solve_qpp_exact(system, strategy, network=network),
+            lambda: solve_total_delay_exact(system, strategy, network=network),
         ):
             result = solver()
             assert is_capacity_respecting(result.placement, strategy)
@@ -103,7 +103,7 @@ class TestExactSolvers:
         network = uniform_capacities(random_geometric_network(5, 0.6, rng=rng), 1.0)
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
-        result = solve_qpp_exact(system, strategy, network)
+        result = solve_qpp_exact(system, strategy, network=network)
         assert result.objective == pytest.approx(
             average_max_delay(result.placement, strategy)
         )
@@ -112,14 +112,14 @@ class TestExactSolvers:
         network = uniform_capacities(random_geometric_network(5, 0.6, rng=rng), 1.0)
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
-        result = solve_total_delay_exact(system, strategy, network)
+        result = solve_total_delay_exact(system, strategy, network=network)
         assert result.objective == pytest.approx(
             average_total_delay(result.placement, strategy)
         )
 
     def test_exact_beats_baselines(self, rng, small_network, majority5):
         system, strategy = majority5
-        exact = solve_qpp_exact(system, strategy, small_network)
+        exact = solve_qpp_exact(system, strategy, network=small_network)
         for _ in range(5):
             baseline = random_placement(system, strategy, small_network, rng=rng)
             assert exact.objective <= average_max_delay(baseline, strategy) + 1e-9
@@ -129,14 +129,14 @@ class TestExactSolvers:
         strategy = AccessStrategy.uniform(system)
         network = path_network(2).with_capacities(1.0)
         with pytest.raises(InfeasibleError):
-            solve_qpp_exact(system, strategy, network)
+            solve_qpp_exact(system, strategy, network=network)
 
     def test_oversized_search_guard(self):
         system = majority(9)
         strategy = AccessStrategy.uniform(system)
         network = path_network(12).with_capacities(10.0)
         with pytest.raises(ValidationError, match="refused"):
-            solve_qpp_exact(system, strategy, network)
+            solve_qpp_exact(system, strategy, network=network)
 
     def test_exact_ssqpp_with_rates_ignored_smoke(self, rng):
         """solve_qpp_exact accepts rates and optimizes the weighted avg."""
@@ -144,7 +144,7 @@ class TestExactSolvers:
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
         rates = {network.nodes[0]: 10.0}
-        result = solve_qpp_exact(system, strategy, network, rates=rates)
+        result = solve_qpp_exact(system, strategy, network=network, rates=rates)
         assert result.objective == pytest.approx(
             average_max_delay(result.placement, strategy, rates=rates)
         )

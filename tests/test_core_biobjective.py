@@ -35,7 +35,7 @@ class TestScalarization:
         """At weight 1 the pipeline is the plain §3.3 algorithm: the
         realized max-delay stays within the Theorem 3.7 bound."""
         system, strategy, network = instance
-        pure = solve_ssqpp(system, strategy, network, 0, alpha=2.0)
+        pure = solve_ssqpp(system, strategy, network=network, source=0, alpha=2.0)
         scalarized = solve_scalarized_placement(
             system, strategy, network, 0, weight=1.0, alpha=2.0
         )
@@ -46,11 +46,11 @@ class TestScalarization:
         scalarized result should not be far above the dedicated solver
         (which has no source restriction but the same per-element costs)."""
         system, strategy, network = instance
-        dedicated = solve_total_delay(system, strategy, network)
+        dedicated = solve_total_delay(system, strategy, network=network)
         scalarized = solve_scalarized_placement(
             system, strategy, network, 0, weight=0.0, alpha=2.0
         )
-        assert scalarized.total_delay <= 1.5 * dedicated.delay + 1e-6
+        assert scalarized.total_delay <= 1.5 * dedicated.objective + 1e-6
 
     def test_reported_metrics_match_placement(self, instance):
         from repro.core import average_total_delay, expected_max_delay

@@ -89,8 +89,8 @@ class TestMatrixDelay:
         """grid_matrix_delay(layout matrix) == Delta_f(v0) of the
         produced placement."""
         network = uniform_capacities(random_geometric_network(12, 0.5, rng=rng), 1.0)
-        result = optimal_grid_placement(network, network.nodes[0], 2)
-        assert grid_matrix_delay(result.matrix) == pytest.approx(result.delay)
+        result = optimal_grid_placement(network, network.nodes[0], k=2)
+        assert grid_matrix_delay(result.matrix) == pytest.approx(result.objective)
 
 
 class TestTheoremB1:
@@ -142,21 +142,21 @@ class TestSlots:
 class TestOptimalGridPlacement:
     def test_respects_capacities_theorem_1_3(self, rng):
         network = uniform_capacities(random_geometric_network(11, 0.5, rng=rng), 1.0)
-        result = optimal_grid_placement(network, network.nodes[0], 3)
+        result = optimal_grid_placement(network, network.nodes[0], k=3)
         assert is_capacity_respecting(result.placement, result.strategy)
 
     def test_delay_matches_reported(self, rng):
         network = uniform_capacities(random_geometric_network(10, 0.5, rng=rng), 1.0)
-        result = optimal_grid_placement(network, network.nodes[2], 2)
+        result = optimal_grid_placement(network, network.nodes[2], k=2)
         assert expected_max_delay(
             result.placement, result.strategy, network.nodes[2]
-        ) == pytest.approx(result.delay)
+        ) == pytest.approx(result.objective)
 
     def test_star_network_layout_uses_center_first(self):
         """On a star with the hub as source, one element lands on the hub
         (its slot is at distance 0) and the layout puts the *closest* slot
         at the matrix corner (k,k)."""
         network = star_network(9).with_capacities(1.0)
-        result = optimal_grid_placement(network, 0, 2)
+        result = optimal_grid_placement(network, 0, k=2)
         assert result.matrix[1, 1] == pytest.approx(0.0)
         assert result.placement[(1, 1)] == 0

@@ -94,7 +94,7 @@ class TestCostDelayEquivalence:
         reduction = reduce_scheduling_to_ssqpp(instance)
         best_schedule = solve_scheduling_exact(instance)
         best_placement = solve_ssqpp_exact(
-            reduction.system, reduction.strategy, reduction.network, 0
+            reduction.system, reduction.strategy, network=reduction.network, source=0
         )
         assert best_placement.objective == pytest.approx(
             reduction.delay_of_schedule_cost(best_schedule.cost)

@@ -78,7 +78,7 @@ class TestDescent:
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
         network = path_network(4).with_capacities(1.0)
-        exact = solve_qpp_exact(system, strategy, network)
+        exact = solve_qpp_exact(system, strategy, network=network)
         start = random_placement(system, strategy, network, rng=rng)
         result = improve_max_delay(start, strategy)
         assert result.objective <= 2 * exact.objective + 1e-9

@@ -74,17 +74,17 @@ class TestPlacementInvariance:
 class TestOptimalMajorityPlacement:
     def test_formula_matches_realized_delay(self, rng):
         network = uniform_capacities(random_geometric_network(9, 0.5, rng=rng), 1.0)
-        result = optimal_majority_placement(network, network.nodes[0], 5)
-        assert result.delay == pytest.approx(result.formula_delay)
+        result = optimal_majority_placement(network, network.nodes[0], n=5)
+        assert result.objective == pytest.approx(result.formula_delay)
 
     def test_respects_capacities(self, rng):
         network = uniform_capacities(random_geometric_network(9, 0.5, rng=rng), 1.0)
-        result = optimal_majority_placement(network, network.nodes[0], 7)
+        result = optimal_majority_placement(network, network.nodes[0], n=7)
         assert is_capacity_respecting(result.placement, result.strategy)
 
     def test_custom_threshold(self, rng):
         network = uniform_capacities(random_geometric_network(8, 0.55, rng=rng), 1.0)
-        result = optimal_majority_placement(network, network.nodes[0], 5, t=4)
+        result = optimal_majority_placement(network, network.nodes[0], n=5, t=4)
         assert result.placement.system.min_quorum_size() == 4
 
     def test_optimal_on_path_uses_closest_nodes(self):
@@ -92,11 +92,11 @@ class TestOptimalMajorityPlacement:
         nodes 0..n-1 and the delay follows formula (19) on 0..n-1."""
         network = path_network(8).with_capacities(1.0)
         n, t = 5, 3
-        result = optimal_majority_placement(network, 0, n, t=t)
+        result = optimal_majority_placement(network, 0, n=n, t=t)
         used = sorted(set(result.placement.as_dict().values()))
         assert used == [0, 1, 2, 3, 4]
         expected = majority_delay_formula(n, t, [0.0, 1.0, 2.0, 3.0, 4.0])
-        assert result.delay == pytest.approx(expected)
+        assert result.objective == pytest.approx(expected)
 
     def test_beats_exhaustive_alternatives_small(self):
         """On a tiny instance, no capacity-respecting placement has
@@ -105,8 +105,8 @@ class TestOptimalMajorityPlacement:
 
         network = path_network(6).with_capacities(1.0)
         n, t = 4, 3
-        result = optimal_majority_placement(network, 0, n, t=t)
+        result = optimal_majority_placement(network, 0, n=n, t=t)
         exact = solve_ssqpp_exact(
-            result.placement.system, result.strategy, network, 0
+            result.placement.system, result.strategy, network=network, source=0
         )
-        assert result.delay == pytest.approx(exact.objective)
+        assert result.objective == pytest.approx(exact.objective)

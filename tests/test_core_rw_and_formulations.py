@@ -53,7 +53,7 @@ class TestRWPlacement:
         """ROWA with an all-read workload: every singleton read can sit
         anywhere; delays should be near zero for the chosen source."""
         rw = read_one_write_all(3)
-        result = solve_rw_ssqpp(rw, network, 0, read_fraction=1.0)
+        result = solve_rw_ssqpp(rw, network, source=0, read_fraction=1.0)
         # All elements fit near/at the source (capacity permitting).
         assert result.delay <= result.delay_bound + 1e-9
 
@@ -89,7 +89,7 @@ class TestFormulations:
         system = majority(5)
         strategy = AccessStrategy.uniform(system)
         result = solve_ssqpp(
-            system, strategy, network, 0, formulation="cumulative"
+            system, strategy, network=network, source=0, formulation="cumulative"
         )
         assert result.within_guarantees
 

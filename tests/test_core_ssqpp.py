@@ -20,7 +20,7 @@ class TestLPRelaxation:
             )
             lp_value = model.solve().objective
             exact = solve_ssqpp_exact(
-                instance.system, instance.strategy, instance.network, source
+                instance.system, instance.strategy, network=instance.network, source=source
             )
             assert lp_value <= exact.objective + 1e-6
 
@@ -81,7 +81,7 @@ class TestTheorem37:
         network = uniform_capacities(random_geometric_network(9, 0.5, rng=rng), 0.8)
         system = majority(5)
         strategy = AccessStrategy.uniform(system)
-        result = solve_ssqpp(system, strategy, network, 0, alpha=alpha)
+        result = solve_ssqpp(system, strategy, network=network, source=0, alpha=alpha)
         assert result.within_guarantees
         assert result.delay <= (alpha / (alpha - 1)) * result.lp_value + 1e-6
         assert result.max_load_factor <= alpha + 1 + 1e-6
@@ -91,10 +91,10 @@ class TestTheorem37:
         for instance in suite[:4]:
             source = instance.network.nodes[0]
             result = solve_ssqpp(
-                instance.system, instance.strategy, instance.network, source
+                instance.system, instance.strategy, network=instance.network, source=source
             )
             exact = solve_ssqpp_exact(
-                instance.system, instance.strategy, instance.network, source
+                instance.system, instance.strategy, network=instance.network, source=source
             )
             assert result.lp_value <= exact.objective + 1e-6
             # Theorem 3.12 (alpha = 2): delay within 2x the true optimum.
@@ -105,14 +105,14 @@ class TestTheorem37:
         strategy = AccessStrategy.uniform(system)
         network = path_network(3).with_capacities(1.0)
         with pytest.raises(ValidationError):
-            solve_ssqpp(system, strategy, network, 0, alpha=1.0)
+            solve_ssqpp(system, strategy, network=network, source=0, alpha=1.0)
 
     def test_unknown_source_rejected(self):
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
         network = path_network(3).with_capacities(1.0)
         with pytest.raises(ValidationError):
-            solve_ssqpp(system, strategy, network, 99)
+            solve_ssqpp(system, strategy, network=network, source=99)
 
     def test_wheel_nonuniform_loads(self, rng):
         """The wheel's skewed loads exercise constraint (13) omission."""
@@ -121,14 +121,14 @@ class TestTheorem37:
         system = wheel(5)
         strategy = optimal_strategy(system).strategy
         network = uniform_capacities(random_geometric_network(8, 0.6, rng=rng), 0.6)
-        result = solve_ssqpp(system, strategy, network, 0, alpha=2.0)
+        result = solve_ssqpp(system, strategy, network=network, source=0, alpha=2.0)
         assert result.within_guarantees
 
     def test_result_reports_source(self, rng):
         network = uniform_capacities(random_geometric_network(6, 0.6, rng=rng), 1.0)
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
-        result = solve_ssqpp(system, strategy, network, 2)
+        result = solve_ssqpp(system, strategy, network=network, source=2)
         assert result.source == 2
         assert result.alpha == 2.0
 
@@ -141,7 +141,7 @@ class TestLargerAlphaTradeoff:
         system = majority(5)
         strategy = AccessStrategy.uniform(system)
         results = {
-            alpha: solve_ssqpp(system, strategy, network, 0, alpha=alpha)
+            alpha: solve_ssqpp(system, strategy, network=network, source=0, alpha=alpha)
             for alpha in (1.5, 2.0, 4.0)
         }
         assert (
@@ -168,8 +168,8 @@ class TestSharedLPFactory:
         system, strategy, network = self._instance(rng)
         factory = SSQPPLPFactory(system, strategy, network)
         for source in network.nodes:
-            shared = solve_ssqpp(system, strategy, network, source, factory=factory)
-            fresh = solve_ssqpp(system, strategy, network, source)
+            shared = solve_ssqpp(system, strategy, network=network, source=source, factory=factory)
+            fresh = solve_ssqpp(system, strategy, network=network, source=source)
             assert shared.lp_value == pytest.approx(fresh.lp_value, abs=1e-9)
             assert shared.delay == pytest.approx(fresh.delay, abs=1e-9)
             assert shared.placement.as_dict() == fresh.placement.as_dict()
@@ -180,7 +180,7 @@ class TestSharedLPFactory:
         system, strategy, network = self._instance(rng)
         factory = SSQPPLPFactory(system, strategy, network)
         base_vars = factory.model.num_variables
-        solve_ssqpp(system, strategy, network, network.nodes[0], factory=factory)
+        solve_ssqpp(system, strategy, network=network, source=network.nodes[0], factory=factory)
         assert factory.model.num_variables == base_vars
 
     def test_factory_released_even_on_solver_failure(self, rng):
@@ -193,12 +193,12 @@ class TestSharedLPFactory:
 
         with pytest.raises(SolverError):
             solve_ssqpp(
-                system, strategy, network, network.nodes[0],
+                system, strategy, network=network, source=network.nodes[0],
                 factory=factory, lp_method="no-such-method",
             )
         assert factory.model.num_variables == base_vars
         result = solve_ssqpp(
-            system, strategy, network, network.nodes[0], factory=factory
+            system, strategy, network=network, source=network.nodes[0], factory=factory
         )
         assert result.lp_value >= 0.0
 
@@ -221,7 +221,7 @@ class TestSharedLPFactory:
         factory = SSQPPLPFactory(system, strategy, other_network)
         with pytest.raises(ValidationError, match="different inputs"):
             solve_ssqpp(
-                system, strategy, network, network.nodes[0], factory=factory
+                system, strategy, network=network, source=network.nodes[0], factory=factory
             )
 
     def test_cumulative_formulation_through_factory(self, rng):
@@ -231,8 +231,8 @@ class TestSharedLPFactory:
         factory = SSQPPLPFactory(system, strategy, network, formulation="cumulative")
         source = network.nodes[0]
         shared = solve_ssqpp(
-            system, strategy, network, source,
+            system, strategy, network=network, source=source,
             formulation="cumulative", factory=factory,
         )
-        fresh = solve_ssqpp(system, strategy, network, source)
+        fresh = solve_ssqpp(system, strategy, network=network, source=source)
         assert shared.lp_value == pytest.approx(fresh.lp_value, abs=1e-6)

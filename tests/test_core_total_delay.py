@@ -20,22 +20,22 @@ class TestTheorem51:
         """The headline guarantee: delay <= OPT (with 2x capacity)."""
         for instance in small_suite(21)[:6]:
             result = solve_total_delay(
-                instance.system, instance.strategy, instance.network
+                instance.system, instance.strategy, network=instance.network
             )
             exact = solve_total_delay_exact(
-                instance.system, instance.strategy, instance.network
+                instance.system, instance.strategy, network=instance.network
             )
-            assert result.delay <= exact.objective + 1e-6
+            assert result.objective <= exact.objective + 1e-6
             assert result.lp_value <= exact.objective + 1e-6
-            assert result.max_load_factor <= 2.0 + 1e-6
+            assert result.load_violation_factor <= 2.0 + 1e-6
             assert result.within_guarantees
 
     def test_reported_delay_matches_placement(self, rng):
         network = uniform_capacities(random_geometric_network(9, 0.5, rng=rng), 0.9)
         system = majority(5)
         strategy = AccessStrategy.uniform(system)
-        result = solve_total_delay(system, strategy, network)
-        assert result.delay == pytest.approx(
+        result = solve_total_delay(system, strategy, network=network)
+        assert result.objective == pytest.approx(
             average_total_delay(result.placement, strategy)
         )
 
@@ -43,7 +43,7 @@ class TestTheorem51:
         network = uniform_capacities(random_geometric_network(10, 0.5, rng=rng), 0.7)
         system = majority(7)
         strategy = AccessStrategy.uniform(system)
-        result = solve_total_delay(system, strategy, network)
+        result = solve_total_delay(system, strategy, network=network)
         loads = node_loads(result.placement, strategy)
         for node, load in loads.items():
             assert load <= 2.0 * network.capacity(node) + 1e-6
@@ -53,7 +53,7 @@ class TestTheorem51:
         strategy = AccessStrategy.uniform(system)
         network = path_network(2).with_capacities(0.5)  # loads are 1 each
         with pytest.raises(InfeasibleError):
-            solve_total_delay(system, strategy, network)
+            solve_total_delay(system, strategy, network=network)
 
     def test_rates_shift_placement_toward_hot_clients(self):
         """All access rate at one end of a path: the placement should
@@ -62,7 +62,7 @@ class TestTheorem51:
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
         hot = {0: 100.0, **{v: 0.001 for v in network.nodes if v != 0}}
-        weighted = solve_total_delay(system, strategy, network, rates=hot)
+        weighted = solve_total_delay(system, strategy, network=network, rates=hot)
         hosts = set(weighted.placement.as_dict().values())
         assert hosts == {0}  # capacity allows full collapse onto the hot node
 
@@ -72,6 +72,6 @@ class TestTheorem51:
         network = path_network(5)  # default capacities: infinity
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
-        result = solve_total_delay(system, strategy, network)
+        result = solve_total_delay(system, strategy, network=network)
         median = network.metric().median()
         assert set(result.placement.as_dict().values()) == {median}

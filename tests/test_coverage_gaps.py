@@ -51,15 +51,15 @@ class TestQPPResultAccessors:
         from repro.network import Network
 
         network = Network([0], [], capacities=2.0)
-        result = solve_qpp(system, strategy, network)
-        assert result.average_delay == 0.0
+        result = solve_qpp(system, strategy, network=network)
+        assert result.objective == 0.0
         assert result.certified_ratio == 0.0
 
     def test_result_is_frozen(self, rng):
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
         network = path_network(3).with_capacities(1.0)
-        result = solve_qpp(system, strategy, network)
+        result = solve_qpp(system, strategy, network=network)
         with pytest.raises(AttributeError):
             result.average_delay = 0.0
 
@@ -106,7 +106,7 @@ class TestGAPSolutionAccessors:
         )
         solution = solve_gap(instance)
         assert solution.fractional.instance is instance
-        assert solution.fractional.cost <= solution.cost + 1e-9
+        assert solution.fractional.cost <= solution.objective + 1e-9
 
 
 class TestModelIntrospection:

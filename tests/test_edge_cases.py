@@ -48,12 +48,12 @@ class TestSingleNodeWorld:
 
     def test_solvers_work(self, world):
         system, strategy, network, _ = world
-        ssqpp = solve_ssqpp(system, strategy, network, 0)
+        ssqpp = solve_ssqpp(system, strategy, network=network, source=0)
         assert ssqpp.delay == 0.0
-        qpp = solve_qpp(system, strategy, network)
-        assert qpp.average_delay == 0.0
-        total = solve_total_delay(system, strategy, network)
-        assert total.delay == 0.0
+        qpp = solve_qpp(system, strategy, network=network)
+        assert qpp.objective == 0.0
+        total = solve_total_delay(system, strategy, network=network)
+        assert total.objective == 0.0
 
 
 class TestZeroProbabilityQuorums:
@@ -71,7 +71,7 @@ class TestZeroProbabilityQuorums:
         strategy = AccessStrategy.from_weights(system, {0: 1.0})
         capacities = {0: 1.0, 1: 1.0, 2: 0.0}
         network = path_network(3).with_capacities(capacities)
-        result = solve_ssqpp(system, strategy, network, 0)
+        result = solve_ssqpp(system, strategy, network=network, source=0)
         assert result.within_guarantees
 
     def test_node_loads_ignore_unsupported_quorums(self):
@@ -91,13 +91,13 @@ class TestDegenerateCapacities:
         strategy = AccessStrategy.uniform(system)
         network = path_network(3).with_capacities(0.0)
         with pytest.raises(InfeasibleError):
-            solve_ssqpp(system, strategy, network, 0)
+            solve_ssqpp(system, strategy, network=network, source=0)
 
     def test_exactly_tight_capacity_is_feasible(self):
         system = singleton("s")
         strategy = AccessStrategy.uniform(system)
         network = path_network(2).with_capacities(1.0)  # load = cap = 1
-        result = solve_ssqpp(system, strategy, network, 0)
+        result = solve_ssqpp(system, strategy, network=network, source=0)
         assert result.delay == pytest.approx(0.0)
 
 
@@ -146,6 +146,6 @@ class TestNumericRobustness:
         network = Network(
             [0, 1, 2], [(0, 1, 1e-6), (1, 2, 1e6)], capacities=1.0
         )
-        result = solve_ssqpp(system, strategy, network, 0)
+        result = solve_ssqpp(system, strategy, network=network, source=0)
         assert math.isfinite(result.delay)
         assert result.within_guarantees

@@ -93,7 +93,7 @@ class TestLP:
             except InfeasibleError:
                 continue
             fractional = solve_gap_lp(inst)
-            assert fractional.cost <= exact.cost + 1e-6
+            assert fractional.cost <= exact.objective + 1e-6
 
     def test_lp_respects_forbidden_and_oversized_pairs(self):
         # Job 1 only fits (capacity-wise) on machine 1.
@@ -182,8 +182,8 @@ class TestSolver:
             np.full(3, 1.5),
         )
         solution = solve_gap(inst)
-        assert set(solution.assignment) == set(inst.jobs)
-        assert solution.cost <= solution.lp_cost + 1e-6
+        assert set(solution.placement) == set(inst.jobs)
+        assert solution.objective <= solution.lp_value + 1e-6
         factors = solution.load_violation_factors(inst)
         assert all(f <= 2.0 + 1e-6 for f in factors.values())
 
@@ -194,8 +194,8 @@ class TestSolver:
             [1.0, 1.0],
         )
         exact = solve_gap_exact(inst)
-        assert exact.cost == pytest.approx(2.0)
-        assert exact.assignment == {0: "m0", 1: "m1"}
+        assert exact.objective == pytest.approx(2.0)
+        assert exact.placement == {0: "m0", 1: "m1"}
 
     def test_exact_infeasible_raises(self):
         inst = make_instance([[1.0, 1.0]], [[0.8, 0.8]], [1.0])

@@ -57,7 +57,7 @@ def test_greedy_never_beats_exact(rng):
             exact = solve_gap_exact(inst)
         except InfeasibleError:
             continue
-        assert exact.cost <= greedy.cost + 1e-9
+        assert exact.objective <= greedy.cost + 1e-9
         compared += 1
     assert compared >= 5
 
@@ -74,7 +74,7 @@ def test_greedy_can_fail_on_feasible_instances():
     # Feasible: one job per machine.  Greedy may or may not find it; the
     # exact solver must.
     exact = solve_gap_exact(inst)
-    assert exact.cost == pytest.approx(11.0)
+    assert exact.objective == pytest.approx(11.0)
 
 
 def test_greedy_stuck_raises():

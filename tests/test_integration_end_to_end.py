@@ -54,7 +54,7 @@ def test_full_pipeline_fpp_on_wan(rng):
         random_geometric_network(10, 0.5, rng=rng, scale=100.0), 0.6
     )
 
-    result = solve_ssqpp(system, strategy, network, network.nodes[0], alpha=2.0)
+    result = solve_ssqpp(system, strategy, network=network, source=network.nodes[0], alpha=2.0)
     assert result.within_guarantees
 
     simulation = simulate_accesses(
@@ -72,7 +72,7 @@ def test_qpp_beats_or_matches_greedy_baseline_on_suite():
         result = solve_qpp(
             instance.system,
             instance.strategy,
-            instance.network,
+            network=instance.network,
             alpha=2.0,
             candidate_sources=list(instance.network.nodes)[:4],
         )
@@ -84,7 +84,7 @@ def test_qpp_beats_or_matches_greedy_baseline_on_suite():
             continue
         baseline_delay = average_max_delay(baseline, instance.strategy)
         total += 1
-        if result.average_delay <= baseline_delay + 1e-9:
+        if result.objective <= baseline_delay + 1e-9:
             wins += 1
     assert total >= 2
     assert wins >= total // 2  # the LP solver should usually win
@@ -99,10 +99,10 @@ def test_two_cluster_story(rng):
     strategy = AccessStrategy.uniform(system)
 
     result = solve_qpp(
-        system, strategy, network, alpha=2.0,
+        system, strategy, network=network, alpha=2.0,
         candidate_sources=[("a", 0), ("b", 0)],
     )
-    assert result.average_delay < 25.0  # not paying the bridge every time
+    assert result.objective < 25.0  # not paying the bridge every time
 
     collapsed = single_node_placement(system, network)
     assert capacity_violation_factor(collapsed, strategy) == pytest.approx(3.0)
@@ -115,14 +115,14 @@ def test_grid_and_majority_theorem_1_3_pipeline(rng):
     network = uniform_capacities(random_geometric_network(12, 0.5, rng=rng), 1.0)
     source = network.nodes[0]
 
-    grid_result = optimal_grid_placement(network, source, 3)
+    grid_result = optimal_grid_placement(network, source, k=3)
     assert is_capacity_respecting(grid_result.placement, grid_result.strategy)
     relay = relay_analysis(grid_result.placement, grid_result.strategy)
     assert relay.within_bound
 
-    majority_result = optimal_majority_placement(network, source, 7)
+    majority_result = optimal_majority_placement(network, source, n=7)
     assert is_capacity_respecting(majority_result.placement, majority_result.strategy)
-    assert majority_result.delay == pytest.approx(majority_result.formula_delay)
+    assert majority_result.objective == pytest.approx(majority_result.formula_delay)
 
 
 def test_total_delay_vs_max_delay_objectives(rng):
@@ -132,9 +132,9 @@ def test_total_delay_vs_max_delay_objectives(rng):
     system = majority(5)
     strategy = AccessStrategy.uniform(system)
 
-    total_result = solve_total_delay(system, strategy, network)
+    total_result = solve_total_delay(system, strategy, network=network)
     qpp_result = solve_qpp(
-        system, strategy, network, candidate_sources=list(network.nodes)[:3]
+        system, strategy, network=network, candidate_sources=list(network.nodes)[:3]
     )
     # Each solution is at least as good on its own metric.
     assert average_total_delay(

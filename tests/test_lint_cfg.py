@@ -1,10 +1,9 @@
-"""CFG lowering corner cases, checked from both consuming tiers.
+"""CFG lowering corner cases, checked through the dataflow tier.
 
 The control-flow graph in :mod:`repro.lint.cfg` feeds the dataflow tier
-(possibly-unbound locals, R201) and — through loop structure — mirrors
-the shapes the cost tier walks.  The basics live in
-``test_lint_dataflow.py``; this file pins down the corner cases the
-R500 work leaned on: ``while``/``else``, ``for`` over ``enumerate`` and
+(possibly-unbound locals, R201).  The basics live in
+``test_lint_dataflow.py``; this file pins down the loop and exception
+corner cases: ``while``/``else``, ``for`` over ``enumerate`` and
 ``zip``, multi-generator comprehensions, and ``try``/``finally``.
 Each shape is asserted through the binding analysis (which paths
 definitely assign) so a lowering regression shows up as a concrete

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.lint import (
     registered_rules,
     render_json,
 )
+from repro.lint.config import _rule_matches
 
 CORE_MODULE = "repro.core.fake"
 
@@ -62,11 +64,6 @@ def test_all_rules_registered():
         "R402",
         "R403",
         "R404",
-        "R500",
-        "R501",
-        "R502",
-        "R503",
-        "R504",
         "R600",
         "R601",
         "R602",
@@ -555,6 +552,31 @@ class TestConfig:
     def test_bad_value_type_rejected(self):
         with pytest.raises(LintError):
             config_from_table({"select": "R001"})
+
+    def test_prefix_matching_semantics(self):
+        assert _rule_matches("R400", ["R4"])
+        assert _rule_matches("R404", ["R40"])
+        assert _rule_matches("R400", ["R400"])
+        assert not _rule_matches("R600", ["R4"])
+        assert not _rule_matches("R400", ["R404"])
+        # A full-length id never acts as a prefix of a longer id.
+        assert not _rule_matches("R4000", ["R400"])
+
+    def test_config_wants_honors_prefixes(self):
+        config = replace(LintConfig(), select=frozenset({"R4"}))
+        assert config.wants("R403")
+        assert not config.wants("R203")
+        ignored = replace(LintConfig(), ignore=frozenset({"R4"}))
+        assert not ignored.wants("R400")
+        assert ignored.wants("R600")
+
+    def test_ignore_prefix_beats_explicit_select(self):
+        config = replace(
+            LintConfig(),
+            select=frozenset({"R400"}),
+            ignore=frozenset({"R4"}),
+        )
+        assert not config.wants("R400")
 
 
 # -- CLI exit codes ------------------------------------------------------------------

@@ -24,7 +24,6 @@ def _run(
     whole_program: bool = False,
     dataflow: bool = False,
     effects: bool = False,
-    cost: bool = False,
     errors: bool = False,
 ) -> list[Finding]:
     config = load_config(search_from=REPO_ROOT)
@@ -34,7 +33,6 @@ def _run(
         whole_program=whole_program,
         dataflow=dataflow,
         effects=effects,
-        cost=cost,
         errors=errors,
     )
 
@@ -69,17 +67,11 @@ def test_src_is_dataflow_clean():
 
 
 @pytest.mark.skipif(not SRC.is_dir(), reason="source tree not present")
-def test_src_is_effects_and_cost_clean():
-    """The effect (R400s) and cost (R500s) tiers must also hold over src.
-
-    Every solver entry point carries a ``@cost`` declaration that covers
-    its inferred bound, no hot path allocates superlinearly without
-    declaring it, and no ``scale="large"`` function reaches a dense
-    all-pairs metric build.
-    """
-    findings = _run([SRC], effects=True, cost=True)
+def test_src_is_effects_clean():
+    """The effect tier (R400-R404) must also hold over src."""
+    findings = _run([SRC], effects=True)
     assert not findings, (
-        f"repro lint src --effects --cost must stay clean:\n{_report(findings)}"
+        f"repro lint src --effects must stay clean:\n{_report(findings)}"
     )
 
 
@@ -100,9 +92,9 @@ def test_src_is_errors_clean():
 
 @pytest.mark.skipif(not SRC.is_dir(), reason="source tree not present")
 def test_whole_program_run_parses_each_file_exactly_once():
-    """One run = one parse per file, across all five tiers at once.
+    """One run = one parse per file, across all four tiers at once.
 
-    ``--whole-program --dataflow --effects --cost --errors`` share one
+    ``--whole-program --dataflow --effects --errors`` share one
     ``ProgramContext``; adding a tier must never re-parse the tree
     (including the R104 usage-root scan).
     """
@@ -116,7 +108,6 @@ def test_whole_program_run_parses_each_file_exactly_once():
         whole_program=True,
         dataflow=True,
         effects=True,
-        cost=True,
         errors=True,
         cache=cache,
     )

@@ -74,7 +74,7 @@ class TestCapacitySensitivity:
         strategy = AccessStrategy.uniform(system)
         network = path_network(4).with_capacities(2 / 3)
         sensitivity = capacity_sensitivity(system, strategy, network, 0)
-        result = solve_ssqpp(system, strategy, network, 0)
+        result = solve_ssqpp(system, strategy, network=network, source=0)
         assert sensitivity.lp_value == pytest.approx(result.lp_value, abs=1e-7)
 
     def test_near_nodes_are_the_bottleneck(self):

@@ -46,8 +46,8 @@ class TestGoldenValues:
         distance matrix is [[3,2],[1,0]] and the average quorum max is
         (3+3+3+2)/4 = 2.75."""
         network = path_network(6).with_capacities(1.0)
-        result = optimal_grid_placement(network, 0, 2)
-        assert result.delay == pytest.approx(2.75)
+        result = optimal_grid_placement(network, 0, k=2)
+        assert result.objective == pytest.approx(2.75)
 
     def test_system_loads_closed_forms(self):
         assert system_load(grid(4)) == pytest.approx(7 / 16, abs=1e-8)
@@ -60,7 +60,7 @@ class TestGoldenValues:
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
         network = cycle_network(6).with_capacities(1.0)
-        exact = solve_qpp_exact(system, strategy, network)
+        exact = solve_qpp_exact(system, strategy, network=network)
         assert exact.objective == pytest.approx(2.0555555556, abs=1e-6)
 
     def test_ssqpp_lp_value_broom(self):
@@ -69,7 +69,7 @@ class TestGoldenValues:
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
         network = broom_network(3).with_capacities(1.0)
-        result = solve_ssqpp(system, strategy, network, 0, alpha=2.0)
+        result = solve_ssqpp(system, strategy, network=network, source=0, alpha=2.0)
         # Loads are 2/3 with unit capacities; the fractional optimum
         # half-completes quorums inside node 0 (value pinned at release).
         assert result.lp_value == pytest.approx(0.5, abs=1e-6)
@@ -82,8 +82,8 @@ class TestGoldenValues:
         system = majority(3)
         strategy = AccessStrategy.uniform(system)
         network = path_network(5).with_capacities(10.0)
-        result = solve_total_delay(system, strategy, network)
-        assert result.delay == pytest.approx(2.4)
+        result = solve_total_delay(system, strategy, network=network)
+        assert result.objective == pytest.approx(2.4)
 
     def test_deterministic_generators_fingerprint(self):
         """Edge-count fingerprints of seeded random generators."""
